@@ -25,11 +25,7 @@
 //!   threads, for every registered selection policy;
 //! * **the detector actually fired** — across the suite the log carries
 //!   suspects, obituaries, rejoins and query retries, so none of the
-//!   gates can pass vacuously against a churn-free day;
-//! * **backend invariance** — the first scenario re-runs with every site
-//!   on the thread-pool execution backend and must reproduce the sim
-//!   backend's per-job terminal outcomes bit-identically (the sim-time
-//!   bridging rule: real executors never perturb the schedule).
+//!   gates can pass vacuously against a churn-free day.
 //!
 //! Below 4 cores (override: `CG_CHECK_CORES`) the thread gate cannot run
 //! and the whole check exits 77 — the automake "skipped" convention —
@@ -44,7 +40,7 @@ use cg_bench::write_csv;
 use cg_jdl::{Ad, JobDescription};
 use cg_net::{FaultSchedule, Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimRng, SimTime};
-use cg_site::{BackendSpec, GiisRoot, Policy, Site, SiteConfig};
+use cg_site::{GiisRoot, Policy, Site, SiteConfig};
 use cg_trace::{check_invariants, Event, EventLog};
 use cg_workloads::{churn_faults, poisson_arrivals, synthetic_grid, ChurnKind, JobMix};
 use crossbroker::{
@@ -64,13 +60,12 @@ const SUITE_SEED: u64 = 0xC4A2;
 
 /// One pool member: heterogeneous node counts, everything CROSSGRID so
 /// matchmaking never filters a site for reasons other than health.
-fn churn_site(i: usize, backend: &BackendSpec) -> Site {
+fn churn_site(i: usize) -> Site {
     Site::new(SiteConfig {
         name: format!("churn{i:02}"),
         nodes: 3 + (i * 5) % 7,
         policy: Policy::Fifo,
         tags: vec!["CROSSGRID".into(), "MPI".into()],
-        backend: backend.clone(),
         ..SiteConfig::default()
     })
 }
@@ -113,19 +108,13 @@ struct ChurnRun {
 /// One seeded broker day under `kind`: churn on every path, the standard
 /// interactive/batch mix arriving across the horizon, then the drain.
 fn sim_run(kind: ChurnKind, index: usize) -> ChurnRun {
-    sim_run_with(kind, index, &BackendSpec::Sim)
-}
-
-/// [`sim_run`] with every site built on `backend`: the backend-invariance
-/// gate compares its outcomes against the sim backend's.
-fn sim_run_with(kind: ChurnKind, index: usize, backend: &BackendSpec) -> ChurnRun {
     let seed = SUITE_SEED ^ ((index as u64 + 1) << 16);
     let mut sim = Sim::new(seed);
     let mut frng = SimRng::new(seed ^ 0xFA17);
     let faults = churn_faults(kind, SITES, HORIZON, &mut frng);
     let handles: Vec<SiteHandle> = (0..SITES)
         .map(|i| SiteHandle {
-            site: churn_site(i, backend),
+            site: churn_site(i),
             broker_link: Link::with_faults(churn_profile(i), faults[i].clone()),
             ui_link: Link::with_faults(churn_profile(i), faults[i].clone()),
         })
@@ -217,7 +206,7 @@ fn survivor_snapshot(kind: ChurnKind, index: usize) -> (Vec<(usize, Ad)>, Policy
             .map(|(_, end)| *end)
             .next_back()
             .unwrap_or(SimTime::ZERO);
-        ads.push((i, churn_site(i, &BackendSpec::Sim).machine_ad()));
+        ads.push((i, churn_site(i).machine_ad()));
         signals.set(
             i,
             SiteSignals {
@@ -394,23 +383,6 @@ fn run_suite(sink: &TraceSink, gates: bool) {
                 kind.name()
             );
             thread_gate(kind, index);
-            if index == 0 {
-                // Backend invariance, once per suite: the same churn day
-                // with real worker threads executing alongside the sim
-                // must land every job in the identical terminal state.
-                let tp = sim_run_with(kind, index, &BackendSpec::ThreadPool { threads: 2 });
-                assert_eq!(
-                    tp.outcomes,
-                    run.outcomes,
-                    "{}: the thread-pool backend perturbed terminal outcomes",
-                    kind.name()
-                );
-                println!(
-                    "{}: thread-pool backend outcome-identical across {} jobs",
-                    kind.name(),
-                    run.outcomes.len()
-                );
-            }
         }
         total_suspects += run.suspects;
         total_deads += run.deads;

@@ -177,26 +177,6 @@ impl CrossBroker {
         mds_link: Link,
         config: BrokerConfig,
     ) -> Self {
-        // A non-default broker backend rebuilds every site still on the
-        // stock sim LRMS; sites that picked their own backend keep it.
-        // Handles cloned before this point go stale — see the
-        // `BrokerConfig::backend` doc.
-        let sites: Vec<SiteHandle> = if config.backend == cg_site::BackendSpec::Sim {
-            sites
-        } else {
-            sites
-                .into_iter()
-                .map(|mut s| {
-                    if s.site.config().backend == cg_site::BackendSpec::Sim {
-                        s.site = s
-                            .site
-                            .with_backend(config.backend.clone())
-                            .expect("BrokerConfig::backend must describe a buildable backend");
-                    }
-                    s
-                })
-                .collect()
-        };
         let total_cpus: u32 = sites
             .iter()
             .map(|s| s.site.lrms().total_nodes() as u32)
@@ -1447,7 +1427,7 @@ impl CrossBroker {
         job: JobDescription,
         runtime: SimDuration,
     ) {
-        let (agent, broker_link, ui_link, delegation, sandbox, console, site_name, backend) = {
+        let (agent, broker_link, ui_link, delegation, sandbox, console, site_name) = {
             let inner = self.inner.borrow();
             let Some(entry) = inner.agents.get(&aid) else {
                 drop(inner);
@@ -1465,7 +1445,6 @@ impl CrossBroker {
                 job_sandbox_bytes(&job, &inner.config),
                 inner.config.console,
                 site.site.name().to_string(),
-                site.site.backend_kind().as_str().to_string(),
             )
         };
         {
@@ -1481,7 +1460,6 @@ impl CrossBroker {
                 Event::JobDispatched {
                     job: id.0,
                     target: format!("agent:{}", aid.0),
-                    backend,
                 },
             );
         }
@@ -1786,29 +1764,9 @@ impl CrossBroker {
                     site: target.clone(),
                 };
             });
-            // One dispatch record covers the whole mixed plan; label it with
-            // the first execution target's backend (uniform in practice).
-            let backend = site_plan
-                .first()
-                .map(|&(i, _)| inner.sites[i].site.backend_kind())
-                .or_else(|| {
-                    agent_picks.first().and_then(|aid| {
-                        inner
-                            .agents
-                            .get(aid)
-                            .map(|e| inner.sites[e.site_index].site.backend_kind())
-                    })
-                })
-                .map_or("sim-lrms", cg_site::BackendKind::as_str)
-                .to_string();
-            inner.trace.record(
-                now,
-                Event::JobDispatched {
-                    job: id.0,
-                    target,
-                    backend,
-                },
-            );
+            inner
+                .trace
+                .record(now, Event::JobDispatched { job: id.0, target });
         }
 
         // Barrier/completion bookkeeping. Consoles: one CA per subjob (§4);
@@ -2406,7 +2364,6 @@ impl CrossBroker {
                 Event::JobDispatched {
                     job: id.0,
                     target: format!("site:{}", site.name()),
-                    backend: site.backend_kind().as_str().to_string(),
                 },
             );
         }
@@ -2555,11 +2512,6 @@ impl CrossBroker {
                 Event::JobDispatched {
                     job: id.0,
                     target: format!("site:{site_name}"),
-                    backend: inner.sites[site_index]
-                        .site
-                        .backend_kind()
-                        .as_str()
-                        .to_string(),
                 },
             );
         }
@@ -2684,11 +2636,6 @@ impl CrossBroker {
                 Event::JobDispatched {
                     job: id.0,
                     target: format!("{} sites", plan.len()),
-                    backend: plan
-                        .first()
-                        .map(|&(i, _)| inner.sites[i].site.backend_kind())
-                        .map_or("sim-lrms", cg_site::BackendKind::as_str)
-                        .to_string(),
                 },
             );
         }

@@ -2,7 +2,7 @@
 
 use cg_net::FaultSchedule;
 use cg_sim::SimDuration;
-use cg_site::{BackendSpec, MembershipConfig};
+use cg_site::MembershipConfig;
 use cg_vm::AgentCosts;
 
 use crate::fairshare::FairShareConfig;
@@ -139,13 +139,6 @@ pub struct BrokerConfig {
     /// paper's free-CPUs rank; a job's own JDL `SelectionPolicy` attribute
     /// overrides it per job when the name is registered.
     pub selection_policy: PolicyKind,
-    /// Execution backend applied to every site still on the default
-    /// `BackendSpec::Sim` when the broker is built. Sites whose own
-    /// `SiteConfig::backend` is non-default keep it. Note the rebuild
-    /// footgun: a non-`Sim` value here rebuilds those sites inside
-    /// `CrossBroker::new`, so `Site` handles cloned *before* broker
-    /// construction go stale — fetch sites from the broker afterwards.
-    pub backend: BackendSpec,
 }
 
 impl Default for BrokerConfig {
@@ -182,7 +175,6 @@ impl Default for BrokerConfig {
             resubmit_backoff_max: SimDuration::from_secs(60),
             resubmit_backoff_jitter: 0.2,
             selection_policy: PolicyKind::default(),
-            backend: BackendSpec::Sim,
         }
     }
 }
@@ -214,10 +206,5 @@ mod tests {
         assert!(c.publish_faults.is_empty(), "no churn by default");
         assert_eq!(c.refresh_fanout, 0, "legacy instantaneous walk by default");
         assert!(c.publish_latency.is_empty());
-        assert_eq!(
-            c.backend,
-            BackendSpec::Sim,
-            "sim LRMS backend by default — bit-identical to the pre-Backend broker"
-        );
     }
 }

@@ -290,7 +290,6 @@ pub struct ParallelMatcher {
     seed: u64,
     policy: PolicyKind,
     signals: PolicySignals,
-    backend_label: String,
 }
 
 impl ParallelMatcher {
@@ -317,7 +316,6 @@ impl ParallelMatcher {
             seed,
             policy: PolicyKind::default(),
             signals: PolicySignals::new(),
-            backend_label: "sim-lrms".to_string(),
         }
     }
 
@@ -333,7 +331,6 @@ impl ParallelMatcher {
             seed,
             policy: PolicyKind::default(),
             signals: PolicySignals::new(),
-            backend_label: "sim-lrms".to_string(),
         }
     }
 
@@ -350,16 +347,6 @@ impl ParallelMatcher {
     #[must_use]
     pub fn with_signals(mut self, signals: PolicySignals) -> Self {
         self.signals = signals;
-        self
-    }
-
-    /// Sets the backend label stamped on every `JobDispatched` event this
-    /// engine records. The matcher works from ads, which do not carry a
-    /// site's execution backend, so the store-level label defaults to
-    /// `"sim-lrms"`; callers driving non-sim backends override it here.
-    #[must_use]
-    pub fn with_backend_label(mut self, label: impl Into<String>) -> Self {
-        self.backend_label = label.into();
         self
     }
 
@@ -456,7 +443,6 @@ impl ParallelMatcher {
                             Event::JobDispatched {
                                 job: m.id.0,
                                 target: format!("site:{}", c.site),
-                                backend: self.backend_label.clone(),
                             },
                         ],
                     );

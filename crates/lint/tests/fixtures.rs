@@ -89,21 +89,6 @@ fn l4_good_fixture_is_clean() {
 }
 
 #[test]
-fn l6_bad_fixture_flags_wall_clock_inside_a_backend_impl() {
-    let report = lint_fixture("l6_backend");
-    // `Instant::now` inside the impl is the bridging breach (L102) and a
-    // wall clock in sim-governed code (L101) at once.
-    assert_eq!(codes_in(&report, "bad.rs"), ["L101", "L102"]);
-    assert!(report.has_errors());
-}
-
-#[test]
-fn l6_good_fixture_is_clean_via_the_mono_ns_chokepoint() {
-    let report = lint_fixture("l6_backend");
-    assert_eq!(codes_in(&report, "good.rs"), [] as [&str; 0]);
-}
-
-#[test]
 fn w5_bad_fixture_warns_without_failing_the_error_gate() {
     let report = lint_fixture("w5_allow");
     assert_eq!(codes_in(&report, "bad.rs"), ["W501"]);

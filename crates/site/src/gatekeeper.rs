@@ -13,8 +13,7 @@ use cg_net::{Dir, HandshakeProfile, Link, NetError, Session};
 use cg_sim::{Sim, SimDuration};
 use serde::{Deserialize, Serialize};
 
-use crate::backend::BackendHandle;
-use crate::lrms::{LocalJobId, LocalJobSpec, LrmsEvent};
+use crate::lrms::{LocalJobId, LocalJobSpec, Lrms, LrmsEvent};
 
 /// Shared submitter-side event callback.
 type GramCallback = Rc<dyn Fn(&mut Sim, &GramEvent)>;
@@ -83,25 +82,24 @@ pub enum GramEvent {
 }
 
 /// A site's gatekeeper: front door from the broker network to the local
-/// execution backend.
+/// batch scheduler.
 #[derive(Clone)]
 pub struct Gatekeeper {
-    lrms: BackendHandle,
+    lrms: Lrms,
     costs: Rc<GramCosts>,
 }
 
 impl Gatekeeper {
-    /// Wraps an execution backend behind GRAM semantics. Accepts anything
-    /// convertible to a [`BackendHandle`] — a bare [`crate::Lrms`] included.
-    pub fn new(lrms: impl Into<BackendHandle>, costs: GramCosts) -> Self {
+    /// Wraps a local scheduler behind GRAM semantics.
+    pub fn new(lrms: Lrms, costs: GramCosts) -> Self {
         Gatekeeper {
-            lrms: lrms.into(),
+            lrms,
             costs: Rc::new(costs),
         }
     }
 
-    /// The execution backend behind this gatekeeper.
-    pub fn lrms(&self) -> &BackendHandle {
+    /// The local scheduler behind this gatekeeper.
+    pub fn lrms(&self) -> &Lrms {
         &self.lrms
     }
 
@@ -207,7 +205,7 @@ fn stage_and_submit(
     sim: &mut Sim,
     session: Session,
     link: Link,
-    lrms: BackendHandle,
+    lrms: Lrms,
     spec: LocalJobSpec,
     sandbox_bytes: u64,
     costs: Rc<GramCosts>,
@@ -273,14 +271,14 @@ fn stage_and_submit(
     do_stage(sim);
 }
 
-fn lrms_is_backed_up(lrms: &BackendHandle) -> bool {
+fn lrms_is_backed_up(lrms: &Lrms) -> bool {
     lrms.free_nodes() == 0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lrms::{Lrms, Policy};
+    use crate::lrms::Policy;
     use cg_net::LinkProfile;
     use std::cell::RefCell;
 

@@ -14,7 +14,6 @@
 
 #![warn(missing_docs)]
 
-mod backend;
 mod columns;
 mod gatekeeper;
 mod giis;
@@ -24,15 +23,11 @@ mod membership;
 mod site;
 mod wn;
 
-pub use backend::{
-    Backend, BackendCallback, BackendError, BackendHandle, BackendKind, BackendSpec,
-    ProcessBackend, RealExecStats, ThreadPoolBackend,
-};
 pub use columns::AdSnapshot;
 pub use gatekeeper::{Gatekeeper, GramCosts, GramEvent};
 pub use giis::{GiisConfig, GiisDeltaReport, GiisRoot, LeafStats};
 pub use lrms::{
-    LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsEvent, LrmsStats, Policy,
+    LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsError, LrmsEvent, LrmsStats, Policy,
     DEFAULT_DISPOSITION_RETENTION,
 };
 pub use mds::{InformationIndex, RefreshWindow, SiteRecord, SweepReport};

@@ -14,8 +14,6 @@ use std::rc::Rc;
 use cg_sim::{EventId, OnlineStats, Sim, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{BackendCallback, BackendError};
-
 /// Default cap on retained terminal dispositions (see
 /// [`Lrms::set_disposition_retention`]). High enough that every existing
 /// scenario retains all its jobs; bounded so a long-lived site cannot grow
@@ -101,7 +99,30 @@ pub enum LocalDisposition {
     Killed,
 }
 
-type Callback = BackendCallback;
+/// Lifecycle callback: observes every [`LrmsEvent`] of a submitted job.
+type Callback = Rc<dyn Fn(&mut Sim, LocalJobId, &LrmsEvent)>;
+
+/// Typed construction failure for an [`Lrms`] (and the `Site` built on it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LrmsError {
+    /// A scheduler over zero worker nodes accepts submissions but can never
+    /// start them: every job wedges in the queue.
+    ZeroNodes,
+    /// A site that retains no terminal dispositions breaks rejoin
+    /// reconciliation outright (see [`Lrms::set_disposition_retention`]).
+    ZeroRetention,
+}
+
+impl std::fmt::Display for LrmsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            LrmsError::ZeroNodes => "LRMS configured with zero worker nodes",
+            LrmsError::ZeroRetention => "LRMS configured with zero disposition retention",
+        })
+    }
+}
+
+impl std::error::Error for LrmsError {}
 
 struct QueuedJob {
     id: LocalJobId,
@@ -176,16 +197,16 @@ impl Lrms {
     /// that could never dispatch a job.
     ///
     /// # Errors
-    /// [`BackendError::ZeroNodes`] when `nodes == 0` — such a scheduler
+    /// [`LrmsError::ZeroNodes`] when `nodes == 0` — such a scheduler
     /// accepts submissions but can never start them (every job wedges in
     /// the queue), so construction is the right place to fail.
     pub fn try_new(
         policy: Policy,
         nodes: usize,
         dispatch_latency: SimDuration,
-    ) -> Result<Self, BackendError> {
+    ) -> Result<Self, LrmsError> {
         if nodes == 0 {
-            return Err(BackendError::ZeroNodes);
+            return Err(LrmsError::ZeroNodes);
         }
         Ok(Lrms {
             inner: Rc::new(RefCell::new(Inner {
@@ -213,7 +234,8 @@ impl Lrms {
     ///
     /// # Panics
     /// Panics when `cap == 0`: a site that retains nothing breaks rejoin
-    /// reconciliation outright.
+    /// reconciliation outright. `Site::try_new` rejects such a
+    /// configuration with [`LrmsError::ZeroRetention`] instead.
     pub fn set_disposition_retention(&self, cap: usize) {
         assert!(cap > 0, "disposition retention cap must be >= 1");
         self.inner.borrow_mut().retention = cap;
@@ -249,17 +271,7 @@ impl Lrms {
         spec: LocalJobSpec,
         callback: impl Fn(&mut Sim, LocalJobId, &LrmsEvent) + 'static,
     ) -> LocalJobId {
-        self.submit_rc(sim, spec, Rc::new(callback))
-    }
-
-    /// [`Lrms::submit`] with an already-shared callback — the form the
-    /// [`crate::Backend`] trait's object-safe seam uses.
-    pub(crate) fn submit_rc(
-        &self,
-        sim: &mut Sim,
-        spec: LocalJobSpec,
-        callback: Callback,
-    ) -> LocalJobId {
+        let callback: Callback = Rc::new(callback);
         assert!(spec.nodes >= 1, "job requesting zero nodes");
         let mut inner = self.inner.borrow_mut();
         inner.stats.submitted += 1;
@@ -782,7 +794,7 @@ mod tests {
     fn zero_node_construction_is_a_typed_error() {
         assert_eq!(
             Lrms::try_new(Policy::Fifo, 0, SimDuration::ZERO).err(),
-            Some(crate::backend::BackendError::ZeroNodes)
+            Some(LrmsError::ZeroNodes)
         );
         assert!(Lrms::try_new(Policy::Fifo, 1, SimDuration::ZERO).is_ok());
     }

@@ -4,9 +4,8 @@ use cg_jdl::{Ad, Value};
 use cg_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{BackendError, BackendHandle, BackendKind, BackendSpec};
 use crate::gatekeeper::{Gatekeeper, GramCosts};
-use crate::lrms::{Policy, DEFAULT_DISPOSITION_RETENTION};
+use crate::lrms::{Lrms, LrmsError, Policy, DEFAULT_DISPOSITION_RETENTION};
 use crate::wn::NodeSpec;
 
 /// Configuration for building a [`Site`].
@@ -29,8 +28,6 @@ pub struct SiteConfig {
     /// Storage capacity advertised, GB ("most sites offer storage capacities
     /// above 600GB", §6).
     pub storage_gb: u32,
-    /// Which execution backend runs this site's jobs.
-    pub backend: BackendSpec,
     /// Cap on retained terminal dispositions (status-poll record).
     pub disposition_retention: usize,
 }
@@ -46,17 +43,16 @@ impl Default for SiteConfig {
             gram: GramCosts::globus24(),
             tags: vec!["CROSSGRID".into()],
             storage_gb: 600,
-            backend: BackendSpec::Sim,
             disposition_retention: DEFAULT_DISPOSITION_RETENTION,
         }
     }
 }
 
-/// A grid site handle. Clones share the underlying backend/gatekeeper.
+/// A grid site handle. Clones share the underlying LRMS/gatekeeper.
 #[derive(Clone)]
 pub struct Site {
     config: std::rc::Rc<SiteConfig>,
-    backend: BackendHandle,
+    lrms: Lrms,
     gatekeeper: Gatekeeper,
 }
 
@@ -64,44 +60,29 @@ impl Site {
     /// Builds the site's components from configuration.
     ///
     /// # Panics
-    /// Panics when the configured backend is structurally invalid (zero
-    /// nodes, zero threads, empty program); use [`Site::try_new`] for a
-    /// typed error.
+    /// Panics when the configuration is structurally invalid (zero nodes,
+    /// zero disposition retention); use [`Site::try_new`] for a typed error.
     pub fn new(config: SiteConfig) -> Self {
-        Site::try_new(config).expect("invalid site backend configuration")
+        Site::try_new(config).expect("invalid site configuration")
     }
 
     /// Builds the site's components from configuration.
     ///
     /// # Errors
-    /// Returns the backend's construction error when `config.backend` (or
-    /// `config.nodes`) is structurally invalid.
-    pub fn try_new(config: SiteConfig) -> Result<Self, BackendError> {
-        let backend = config.backend.build(
-            config.policy,
-            config.nodes,
-            config.dispatch_latency,
-            config.disposition_retention,
-        )?;
-        let gatekeeper = Gatekeeper::new(backend.clone(), config.gram.clone());
+    /// [`LrmsError::ZeroNodes`] when `config.nodes == 0`;
+    /// [`LrmsError::ZeroRetention`] when `config.disposition_retention == 0`.
+    pub fn try_new(config: SiteConfig) -> Result<Self, LrmsError> {
+        if config.disposition_retention == 0 {
+            return Err(LrmsError::ZeroRetention);
+        }
+        let lrms = Lrms::try_new(config.policy, config.nodes, config.dispatch_latency)?;
+        lrms.set_disposition_retention(config.disposition_retention);
+        let gatekeeper = Gatekeeper::new(lrms.clone(), config.gram.clone());
         Ok(Site {
             config: std::rc::Rc::new(config),
-            backend,
+            lrms,
             gatekeeper,
         })
-    }
-
-    /// Rebuilds this site over a different execution backend (same
-    /// configuration otherwise). The existing backend's state is NOT
-    /// carried over — this is a construction-time choice, applied by
-    /// `CrossBroker::new` before any job flows.
-    ///
-    /// # Errors
-    /// Returns the backend's construction error for invalid specs.
-    pub fn with_backend(&self, backend: BackendSpec) -> Result<Self, BackendError> {
-        let mut config = (*self.config).clone();
-        config.backend = backend;
-        Site::try_new(config)
     }
 
     /// Site name.
@@ -114,20 +95,9 @@ impl Site {
         &self.config
     }
 
-    /// The local scheduler (kept under its historical name; any
-    /// [`crate::Backend`] implementation may sit behind the handle).
-    pub fn lrms(&self) -> &BackendHandle {
-        &self.backend
-    }
-
-    /// The execution backend — alias of [`Site::lrms`].
-    pub fn backend(&self) -> &BackendHandle {
-        &self.backend
-    }
-
-    /// Which kind of executor runs this site's jobs.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
+    /// The local scheduler.
+    pub fn lrms(&self) -> &Lrms {
+        &self.lrms
     }
 
     /// The GRAM front door.
@@ -143,12 +113,12 @@ impl Site {
             .set_str("Arch", self.config.node_spec.arch.clone())
             .set_str("OpSys", self.config.node_spec.op_sys.clone())
             .set_int("TotalCpus", self.config.nodes as i64)
-            .set_int("FreeCpus", self.backend.free_nodes() as i64)
-            .set_int("QueueDepth", self.backend.queue_depth() as i64)
+            .set_int("FreeCpus", self.lrms.free_nodes() as i64)
+            .set_int("QueueDepth", self.lrms.queue_depth() as i64)
             .set_int("MemoryMb", self.config.node_spec.memory_mb as i64)
             .set_int("StorageGb", self.config.storage_gb as i64)
             .set_double("SpeedFactor", self.config.node_spec.speed_factor)
-            .set_bool("AcceptsQueued", self.backend.accepts_queued_jobs())
+            .set_bool("AcceptsQueued", self.lrms.accepts_queued_jobs())
             .set(
                 "Tags",
                 Value::List(
@@ -176,7 +146,7 @@ impl std::fmt::Debug for Site {
         f.debug_struct("Site")
             .field("name", &self.config.name)
             .field("nodes", &self.config.nodes)
-            .field("free", &self.backend.free_nodes())
+            .field("free", &self.lrms.free_nodes())
             .finish_non_exhaustive()
     }
 }
@@ -244,6 +214,21 @@ mod tests {
             .unwrap()
             .eval_requirement(ctx)
             .unwrap());
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors() {
+        let build = |nodes, disposition_retention| {
+            Site::try_new(SiteConfig {
+                nodes,
+                disposition_retention,
+                ..SiteConfig::default()
+            })
+            .err()
+        };
+        assert_eq!(build(0, 16), Some(LrmsError::ZeroNodes));
+        assert_eq!(build(4, 0), Some(LrmsError::ZeroRetention));
+        assert_eq!(build(4, 1), None);
     }
 
     #[test]

@@ -174,15 +174,10 @@ pub fn encode_event(ev: &TimedEvent, out: &mut Vec<u8>) {
             put_str(out, target);
             put_u64(out, *until_ns);
         }
-        Event::JobDispatched {
-            job,
-            target,
-            backend,
-        } => {
+        Event::JobDispatched { job, target } => {
             put_u8(out, 5);
             put_u64(out, *job);
             put_str(out, target);
-            put_str(out, backend);
         }
         Event::JobStarted { job } => {
             put_u8(out, 6);
@@ -519,7 +514,6 @@ pub fn decode_event(buf: &[u8]) -> Result<TimedEvent, CodecError> {
         5 => Event::JobDispatched {
             job: c.u64()?,
             target: c.str()?,
-            backend: c.str()?,
         },
         6 => Event::JobStarted { job: c.u64()? },
         7 => Event::JobResubmitted {
@@ -726,7 +720,6 @@ mod tests {
             Event::JobDispatched {
                 job: 7,
                 target: "agent:3".into(),
-                backend: "thread-pool".into(),
             },
             Event::JobStarted { job: 7 },
             Event::JobResubmitted { job: 7, attempt: 2 },
@@ -942,5 +935,24 @@ mod tests {
         let mut trailing = buf;
         trailing.push(0);
         assert_eq!(decode_event(&trailing), Err(CodecError::TrailingBytes));
+    }
+
+    #[test]
+    fn dispatch_record_with_a_retired_trailing_field_is_rejected() {
+        // Older journals appended an execution-backend label to every
+        // `JobDispatched` record; such a record must fail loudly rather
+        // than be misread.
+        let te = TimedEvent {
+            at: SimTime::ZERO,
+            seq: 0,
+            event: Event::JobDispatched {
+                job: 1,
+                target: "site:a".into(),
+            },
+        };
+        let mut buf = Vec::new();
+        encode_event(&te, &mut buf);
+        put_str(&mut buf, "sim-lrms");
+        assert_eq!(decode_event(&buf), Err(CodecError::TrailingBytes));
     }
 }

@@ -59,9 +59,6 @@ pub enum Event {
         job: u64,
         /// Dispatch target, e.g. `agent:3` or `site:cesga`.
         target: String,
-        /// Execution backend at the target (`sim-lrms`, `thread-pool`,
-        /// `process`), so replays know what ran the job.
-        backend: String,
     },
     /// The job began computing.
     JobStarted {
@@ -548,14 +545,9 @@ impl Event {
                 str_field(out, "target", target);
                 let _ = write!(out, ",\"until_ns\":{until_ns}");
             }
-            Event::JobDispatched {
-                job,
-                target,
-                backend,
-            } => {
+            Event::JobDispatched { job, target } => {
                 let _ = write!(out, ",\"job\":{job}");
                 str_field(out, "target", target);
-                str_field(out, "backend", backend);
             }
             Event::JobAd {
                 job,

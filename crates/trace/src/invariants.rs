@@ -333,7 +333,6 @@ mod tests {
         Event::JobDispatched {
             job,
             target: "agent:0".into(),
-            backend: "sim-lrms".into(),
         }
     }
 
@@ -448,7 +447,6 @@ mod tests {
         let site_dispatch = |job| Event::JobDispatched {
             job,
             target: "site:cesga".into(),
-            backend: "sim-lrms".into(),
         };
         let suspect = Event::SiteSuspect {
             site: "cesga".into(),

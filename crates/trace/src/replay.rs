@@ -715,7 +715,6 @@ mod tests {
                 Event::JobDispatched {
                     job: 0,
                     target: "site:a".into(),
-                    backend: "sim-lrms".into(),
                 },
             ),
             te(4, Event::JobStarted { job: 0 }),

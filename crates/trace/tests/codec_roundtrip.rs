@@ -36,7 +36,6 @@ fn all_variants(a: u64, b: u64, small: u32, flag: bool, x: f64, s: &str, t: &str
         Event::JobDispatched {
             job: a,
             target: t.to_string(),
-            backend: s.to_string(),
         },
         Event::JobStarted { job: a },
         Event::JobResubmitted {

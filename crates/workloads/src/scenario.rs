@@ -7,7 +7,7 @@
 
 use cg_net::{FaultSchedule, HostId, Link, LinkProfile, Topology};
 use cg_sim::SimRng;
-use cg_site::{BackendError, BackendSpec, NodeSpec, Policy, Site, SiteConfig};
+use cg_site::{NodeSpec, Policy, Site, SiteConfig};
 
 /// A wired grid: broker, UI, information index host, and sites.
 pub struct GridScenario {
@@ -42,21 +42,6 @@ impl GridScenario {
     /// The sites, detached from their host ids.
     pub fn site_list(&self) -> Vec<Site> {
         self.sites.iter().map(|(s, _)| s.clone()).collect()
-    }
-
-    /// Rebuilds every site onto `backend`, in place. Any `Site` handle
-    /// cloned out of the scenario before this call keeps the old backend;
-    /// fetch sites afterwards.
-    ///
-    /// # Errors
-    /// Returns the first [`BackendError`] if `backend` cannot be built
-    /// (e.g. a zero-thread pool); already-rebuilt sites keep the new
-    /// backend in that case.
-    pub fn set_backend(&mut self, backend: &BackendSpec) -> Result<(), BackendError> {
-        for (site, _) in &mut self.sites {
-            *site = site.with_backend(backend.clone())?;
-        }
-        Ok(())
     }
 }
 
@@ -228,23 +213,6 @@ mod tests {
         assert_eq!(s.broker_site_link(0).profile().name, "campus");
         assert_eq!(s.mds_link().profile().name, "wan-mds");
         assert_eq!(s.sites[0].0.lrms().total_nodes(), 4);
-    }
-
-    #[test]
-    fn set_backend_rebuilds_every_site() {
-        let mut s = campus_pair(4);
-        s.set_backend(&BackendSpec::ThreadPool { threads: 2 })
-            .expect("thread pool builds");
-        assert_eq!(
-            s.sites[0].0.backend_kind(),
-            cg_site::BackendKind::ThreadPool
-        );
-        assert_eq!(s.sites[0].0.lrms().total_nodes(), 4, "capacity survives");
-        assert!(
-            s.set_backend(&BackendSpec::ThreadPool { threads: 0 })
-                .is_err(),
-            "zero threads is a typed error"
-        );
     }
 
     #[test]

@@ -41,11 +41,6 @@
 //!     summary, and run the recovery invariants offline. With --spool-dir,
 //!     cross-checks journaled spool watermarks against the on-disk `.ack`
 //!     sidecars. Exits 1 when any check fails.
-//!
-//! cgrun backends
-//!     List the execution backends a site can run (`SiteConfig::backend` /
-//!     `BrokerConfig::backend`), with the label each stamps on
-//!     `JobDispatched` trace events.
 //! ```
 //!
 //! The secret file is any byte string shared by both sides (the GSI proxy
@@ -72,7 +67,6 @@ fn main() {
         Some("journal-dump") => cmd_journal_dump(&args[1..]),
         Some("churn-report") => cmd_churn_report(&args[1..]),
         Some("recover") => cmd_recover(&args[1..]),
-        Some("backends") => cmd_backends(),
         Some("--help" | "-h") | None => {
             eprint!("{}", USAGE);
             0
@@ -98,7 +92,6 @@ USAGE:
   cgrun journal-dump FILE
   cgrun churn-report FILE.jsonl
   cgrun recover FILE [--spool-dir DIR]
-  cgrun backends
 ";
 
 struct Flags {
@@ -483,39 +476,6 @@ fn cmd_churn_report(args: &[String]) -> i32 {
 /// the recovery rules always, and (with `--spool-dir`) the journaled spool
 /// watermarks against the on-disk `.ack` sidecars. Exit 0 = consistent,
 /// 1 = violations found, 2 = usage or I/O failure.
-/// `cgrun backends`: the execution backends a site (or the whole broker,
-/// via `BrokerConfig::backend`) can run, and the label each one stamps on
-/// `JobDispatched` trace events (visible in `cgrun journal-dump` output).
-fn cmd_backends() -> i32 {
-    use crossgrid::site::BackendKind;
-    println!("execution backends (SiteConfig::backend / BrokerConfig::backend):\n");
-    for (kind, config, what) in [
-        (
-            BackendKind::SimLrms,
-            "Sim",
-            "simulated batch scheduler (default; bit-identical replays)",
-        ),
-        (
-            BackendKind::ThreadPool,
-            "ThreadPool { threads }",
-            "in-process worker threads execute each started job for real",
-        ),
-        (
-            BackendKind::Process,
-            "Process { program }",
-            "spawns and reaps one external process per started job",
-        ),
-    ] {
-        println!("  {:<12} BackendSpec::{config:<24} {what}", kind.as_str());
-    }
-    println!(
-        "\nall backends delegate sim-visible scheduling to the deterministic \
-         LRMS core;\nreal execution reports only into backend-local counters \
-         via mono_ns() (DESIGN §7k)."
-    );
-    0
-}
-
 fn cmd_recover(args: &[String]) -> i32 {
     use crossgrid::trace::journal::{open_journal, JournalError};
     use crossgrid::trace::{check_invariants, check_recovery_invariants};

@@ -1,35 +1,26 @@
-//! Backend conformance harness: one parameterized suite proving every
-//! execution backend — the sim LRMS, the in-process thread pool, and the
-//! external-process runner — satisfies the same contract:
+//! LRMS contract suite: the guarantees the broker, the gatekeeper and the
+//! MDS publisher rely on from a site's local batch scheduler ([`Lrms`]):
 //!
+//! - typed errors for structurally useless configurations,
 //! - dispatch-latency ordering of the job lifecycle,
 //! - kill-during-queue semantics (terminal, never started),
 //! - disposition retention, including across rejoin reconciliation,
 //! - `accepts_queued_jobs` agreement with the published machine ad,
 //! - whole-stream invariant rules 1–8 + 5b on a full broker run,
-//! - same-seed replay identity (real execution never perturbs the sim),
-//! - `LrmsStats` balance under arbitrary interleavings (proptest),
-//!
-//! plus the 1/4/8-thread `ParallelMatcher` sweep under every backend label.
+//! - same-seed replay identity,
+//! - `LrmsStats` balance under arbitrary interleavings (proptest).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crossgrid::broker::{MatchRequest, ParallelMatcher, ShardedJobTable, DEFAULT_SHARDS};
-use crossgrid::jdl::Ad;
 use crossgrid::net::FaultSchedule;
 use crossgrid::prelude::*;
 use crossgrid::site::{
-    BackendError, BackendHandle, BackendSpec, LocalDisposition, LocalJobId, LocalJobSpec,
-    LrmsEvent, Policy,
+    LocalDisposition, LocalJobId, LocalJobSpec, Lrms, LrmsError, LrmsEvent, Policy,
 };
-use crossgrid::trace::replay::{Bucket, ReplayState};
+use crossgrid::trace::replay::ReplayState;
 use crossgrid::trace::{check_recovery_invariants, TimedEvent};
 use proptest::prelude::*;
-
-mod common;
-use common::{all_backend_specs, bucket_of, check_cores};
 
 const SEED: u64 = 7;
 
@@ -37,9 +28,8 @@ fn latency() -> SimDuration {
     SimDuration::from_millis(1_500)
 }
 
-fn build(spec: &BackendSpec, policy: Policy, nodes: usize) -> BackendHandle {
-    spec.build(policy, nodes, latency(), 64)
-        .expect("conformance specs are structurally valid")
+fn build(policy: Policy, nodes: usize) -> Lrms {
+    Lrms::new(policy, nodes, latency())
 }
 
 /// Per-job lifecycle recording: `(job, tag, nanos)` per callback delivery.
@@ -55,13 +45,13 @@ fn tag(ev: &LrmsEvent) -> &'static str {
 }
 
 fn submit_recorded(
-    backend: &BackendHandle,
+    lrms: &Lrms,
     sim: &mut Sim,
     runtime: SimDuration,
     trace: &Lifecycle,
 ) -> LocalJobId {
     let t = Rc::clone(trace);
-    backend.submit(sim, LocalJobSpec::simple(runtime), move |sim, id, ev| {
+    lrms.submit(sim, LocalJobSpec::simple(runtime), move |sim, id, ev| {
         t.borrow_mut().push((id.0, tag(ev), sim.now().as_nanos()));
     })
 }
@@ -81,117 +71,104 @@ fn events_of(trace: &Lifecycle, id: LocalJobId) -> Vec<(&'static str, u64)> {
 
 #[test]
 fn invalid_capacity_is_a_typed_error_for_every_backend() {
-    for spec in all_backend_specs() {
-        assert!(
-            matches!(
-                spec.build(Policy::Fifo, 0, latency(), 64),
-                Err(BackendError::ZeroNodes)
-            ),
-            "{spec:?}: zero nodes must be rejected"
-        );
-    }
-    assert!(matches!(
-        BackendSpec::ThreadPool { threads: 0 }.build(Policy::Fifo, 2, latency(), 64),
-        Err(BackendError::ZeroThreads)
-    ));
-    assert!(matches!(
-        BackendSpec::Process {
-            program: String::new()
-        }
-        .build(Policy::Fifo, 2, latency(), 64),
-        Err(BackendError::EmptyProgram)
-    ));
-    assert!(
+    assert_eq!(
+        Lrms::try_new(Policy::Fifo, 0, latency()).err(),
+        Some(LrmsError::ZeroNodes),
+        "zero nodes must be rejected"
+    );
+    let site = |nodes, disposition_retention| {
         Site::try_new(SiteConfig {
-            nodes: 0,
+            nodes,
+            disposition_retention,
             ..SiteConfig::default()
         })
-        .is_err(),
-        "Site::try_new must propagate backend construction errors"
+        .err()
+    };
+    assert_eq!(
+        site(0, 64),
+        Some(LrmsError::ZeroNodes),
+        "Site::try_new must propagate LRMS construction errors"
+    );
+    assert_eq!(
+        site(2, 0),
+        Some(LrmsError::ZeroRetention),
+        "a site retaining no dispositions is a typed error, not a panic"
     );
 }
 
 #[test]
 fn dispatch_latency_orders_every_lifecycle() {
-    for spec in all_backend_specs() {
-        let mut sim = Sim::new(11);
-        let backend = build(&spec, Policy::Fifo, 2);
-        let trace: Lifecycle = Rc::new(RefCell::new(Vec::new()));
-        let ids: Vec<LocalJobId> = (0..3)
-            .map(|_| submit_recorded(&backend, &mut sim, SimDuration::from_secs(5), &trace))
-            .collect();
-        sim.run_until(SimTime::from_secs(60));
-        backend.quiesce();
+    let mut sim = Sim::new(11);
+    let lrms = build(Policy::Fifo, 2);
+    let trace: Lifecycle = Rc::new(RefCell::new(Vec::new()));
+    let ids: Vec<LocalJobId> = (0..3)
+        .map(|_| submit_recorded(&lrms, &mut sim, SimDuration::from_secs(5), &trace))
+        .collect();
+    sim.run_until(SimTime::from_secs(60));
 
-        let mut finish_of_first_wave = u64::MAX;
-        for (i, id) in ids.iter().enumerate() {
-            let evs = events_of(&trace, *id);
-            assert_eq!(
-                evs.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
-                vec!["queued", "started", "finished"],
-                "{spec:?}: job {i} lifecycle out of order: {evs:?}"
-            );
-            let queued_at = evs[0].1;
-            let started_at = evs[1].1;
+    let mut finish_of_first_wave = u64::MAX;
+    for (i, id) in ids.iter().enumerate() {
+        let evs = events_of(&trace, *id);
+        assert_eq!(
+            evs.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            vec!["queued", "started", "finished"],
+            "job {i} lifecycle out of order: {evs:?}"
+        );
+        let queued_at = evs[0].1;
+        let started_at = evs[1].1;
+        assert!(
+            started_at >= queued_at + latency().as_nanos(),
+            "job {i} started {started_at} before its dispatch latency \
+             elapsed (queued {queued_at})"
+        );
+        if i < 2 {
+            finish_of_first_wave = finish_of_first_wave.min(evs[2].1);
+        } else {
+            // Two nodes: the third job cannot start until a first-wave
+            // job has freed its node.
             assert!(
-                started_at >= queued_at + latency().as_nanos(),
-                "{spec:?}: job {i} started {started_at} before its dispatch \
-                 latency elapsed (queued {queued_at})"
+                started_at >= finish_of_first_wave,
+                "job 2 started at {started_at} while both nodes were still \
+                 busy (first free at {finish_of_first_wave})"
             );
-            if i < 2 {
-                finish_of_first_wave = finish_of_first_wave.min(evs[2].1);
-            } else {
-                // Two nodes: the third job cannot start until a first-wave
-                // job has freed its node.
-                assert!(
-                    started_at >= finish_of_first_wave,
-                    "{spec:?}: job 2 started at {started_at} while both \
-                     nodes were still busy (first free at {finish_of_first_wave})"
-                );
-            }
         }
-        let stats = backend.stats();
-        assert_eq!(stats.submitted, 3, "{spec:?}");
-        assert_eq!(stats.finished, 3, "{spec:?}");
-        assert_eq!(stats.killed, 0, "{spec:?}");
     }
+    let stats = lrms.stats();
+    assert_eq!((stats.submitted, stats.finished, stats.killed), (3, 3, 0));
 }
 
 #[test]
 fn kill_during_queue_is_terminal_and_never_starts() {
-    for spec in all_backend_specs() {
-        let mut sim = Sim::new(13);
-        let backend = build(&spec, Policy::Fifo, 1);
-        let trace: Lifecycle = Rc::new(RefCell::new(Vec::new()));
-        let a = submit_recorded(&backend, &mut sim, SimDuration::from_secs(100), &trace);
-        let b = submit_recorded(&backend, &mut sim, SimDuration::from_secs(10), &trace);
+    let mut sim = Sim::new(13);
+    let lrms = build(Policy::Fifo, 1);
+    let trace: Lifecycle = Rc::new(RefCell::new(Vec::new()));
+    let a = submit_recorded(&lrms, &mut sim, SimDuration::from_secs(100), &trace);
+    let b = submit_recorded(&lrms, &mut sim, SimDuration::from_secs(10), &trace);
 
-        // `b` is still queued behind `a` at t=5 s; kill it there.
-        let killer = backend.clone();
-        sim.schedule_at(SimTime::from_secs(5), move |sim| {
-            assert!(killer.kill(sim, b, "conformance"), "queued kill must land");
-            assert_eq!(killer.disposition(b), Some(LocalDisposition::Killed));
-            assert_eq!(killer.queue_depth(), 0);
-        });
-        sim.run_until(SimTime::from_secs(300));
-        backend.quiesce();
+    // `b` is still queued behind `a` at t=5 s; kill it there.
+    let killer = lrms.clone();
+    sim.schedule_at(SimTime::from_secs(5), move |sim| {
+        assert!(killer.kill(sim, b, "conformance"), "queued kill must land");
+        assert_eq!(killer.disposition(b), Some(LocalDisposition::Killed));
+        assert_eq!(killer.queue_depth(), 0);
+    });
+    sim.run_until(SimTime::from_secs(300));
 
-        assert_eq!(
-            events_of(&trace, b)
-                .iter()
-                .map(|(t, _)| *t)
-                .collect::<Vec<_>>(),
-            vec!["queued", "killed"],
-            "{spec:?}: a queue-killed job must never start"
-        );
-        assert_eq!(backend.disposition(a), Some(LocalDisposition::Finished));
-        let stats = backend.stats();
-        assert_eq!((stats.submitted, stats.finished, stats.killed), (2, 1, 1));
-        assert!(
-            !backend.kill(&mut sim, LocalJobId(99), "unknown"),
-            "{spec:?}: killing an unknown job must report it"
-        );
-    }
+    assert_eq!(
+        events_of(&trace, b)
+            .iter()
+            .map(|(t, _)| *t)
+            .collect::<Vec<_>>(),
+        vec!["queued", "killed"],
+        "a queue-killed job must never start"
+    );
+    assert_eq!(lrms.disposition(a), Some(LocalDisposition::Finished));
+    let stats = lrms.stats();
+    assert_eq!((stats.submitted, stats.finished, stats.killed), (2, 1, 1));
+    assert!(
+        !lrms.kill(&mut sim, LocalJobId(99), "unknown"),
+        "killing an unknown job must report it"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -200,39 +177,35 @@ fn kill_during_queue_is_terminal_and_never_starts() {
 
 #[test]
 fn disposition_retention_evicts_oldest_for_every_backend() {
-    for spec in all_backend_specs() {
-        let mut sim = Sim::new(17);
-        let backend = spec
-            .build(Policy::Fifo, 1, SimDuration::ZERO, 4)
-            .expect("valid spec");
-        let ids: Vec<LocalJobId> = (0..10)
-            .map(|_| {
-                backend.submit(
-                    &mut sim,
-                    LocalJobSpec::simple(SimDuration::from_secs(1)),
-                    |_, _, _| {},
-                )
-            })
-            .collect();
-        sim.run_until(SimTime::from_secs(60));
-        backend.quiesce();
+    let mut sim = Sim::new(17);
+    let lrms = Lrms::new(Policy::Fifo, 1, SimDuration::ZERO);
+    lrms.set_disposition_retention(4);
+    let ids: Vec<LocalJobId> = (0..10)
+        .map(|_| {
+            lrms.submit(
+                &mut sim,
+                LocalJobSpec::simple(SimDuration::from_secs(1)),
+                |_, _, _| {},
+            )
+        })
+        .collect();
+    sim.run_until(SimTime::from_secs(60));
 
-        for id in &ids[..6] {
-            assert_eq!(
-                backend.disposition(*id),
-                None,
-                "{spec:?}: evicted disposition resurfaced"
-            );
-        }
-        for id in &ids[6..] {
-            assert_eq!(
-                backend.disposition(*id),
-                Some(LocalDisposition::Finished),
-                "{spec:?}: recent disposition evicted"
-            );
-        }
-        assert_eq!(backend.stats().finished, 10, "{spec:?}");
+    for id in &ids[..6] {
+        assert_eq!(
+            lrms.disposition(*id),
+            None,
+            "evicted disposition resurfaced"
+        );
     }
+    for id in &ids[6..] {
+        assert_eq!(
+            lrms.disposition(*id),
+            Some(LocalDisposition::Finished),
+            "recent disposition evicted"
+        );
+    }
+    assert_eq!(lrms.stats().finished, 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,46 +214,40 @@ fn disposition_retention_evicts_oldest_for_every_backend() {
 
 #[test]
 fn accepts_queued_agrees_with_the_published_machine_ad() {
-    for spec in all_backend_specs() {
-        let site = Site::try_new(SiteConfig {
-            name: "conf".into(),
-            nodes: 1,
-            backend: spec.clone(),
-            ..SiteConfig::default()
-        })
-        .expect("valid spec");
-        let mut sim = Sim::new(19);
-        let published = |site: &Site| {
-            site.machine_ad()
-                .get("AcceptsQueued")
-                .and_then(crossgrid::jdl::Value::as_bool)
-                .expect("AcceptsQueued is published as a bool")
-        };
+    let site = Site::new(SiteConfig {
+        name: "conf".into(),
+        nodes: 1,
+        ..SiteConfig::default()
+    });
+    let mut sim = Sim::new(19);
+    let published = |site: &Site| {
+        site.machine_ad()
+            .get("AcceptsQueued")
+            .and_then(crossgrid::jdl::Value::as_bool)
+            .expect("AcceptsQueued is published as a bool")
+    };
 
-        assert!(site.backend().accepts_queued_jobs(), "{spec:?}: fresh site");
-        assert!(published(&site), "{spec:?}: fresh ad must accept");
+    assert!(site.lrms().accepts_queued_jobs(), "fresh site");
+    assert!(published(&site), "fresh ad must accept");
 
-        // One running + four queued jobs saturate the bounded queue
-        // (4 × nodes): the backend and its ad must close together.
-        for _ in 0..5 {
-            site.backend().submit(
-                &mut sim,
-                LocalJobSpec::simple(SimDuration::from_secs(500)),
-                |_, _, _| {},
-            );
-        }
-        sim.run_until(SimTime::from_secs(10));
-        assert!(
-            !site.backend().accepts_queued_jobs(),
-            "{spec:?}: queue at 4×nodes must refuse admission"
+    // One running + four queued jobs saturate the bounded queue
+    // (4 × nodes): the scheduler and its ad must close together.
+    for _ in 0..5 {
+        site.lrms().submit(
+            &mut sim,
+            LocalJobSpec::simple(SimDuration::from_secs(500)),
+            |_, _, _| {},
         );
-        assert!(
-            !published(&site),
-            "{spec:?}: the ad must publish the refusal the co-allocation \
-             filter keys on"
-        );
-        site.backend().quiesce();
     }
+    sim.run_until(SimTime::from_secs(10));
+    assert!(
+        !site.lrms().accepts_queued_jobs(),
+        "queue at 4×nodes must refuse admission"
+    );
+    assert!(
+        !published(&site),
+        "the ad must publish the refusal the co-allocation filter keys on"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -301,87 +268,76 @@ fn exclusive() -> crossgrid::jdl::JobDescription {
 /// A dispatched job finishes at the site while its link is down, so the
 /// GRAM completion message is lost; once the site rejoins, the broker's
 /// reconciliation poll must find the (recent, retained) disposition and
-/// terminate the job. Run per backend; a retention cap of 4 pins the
-/// regression from the unbounded-retention fix.
+/// terminate the job. A retention cap of 4 pins the regression from the
+/// unbounded-retention fix.
 #[test]
 fn rejoin_reconciliation_finds_recent_dispositions() {
-    for spec in all_backend_specs() {
-        let site = Site::try_new(SiteConfig {
-            name: "alpha".into(),
-            nodes: 2,
-            policy: Policy::Fifo,
-            backend: spec.clone(),
-            disposition_retention: 4,
-            ..SiteConfig::default()
-        })
-        .expect("valid spec");
-        let backend = site.backend().clone();
-        let handles = vec![SiteHandle {
-            site,
-            broker_link: Link::with_faults(LinkProfile::campus(), outage()),
-            ui_link: Link::with_faults(LinkProfile::campus(), outage()),
-        }];
-        let mds = Link::with_faults(LinkProfile::wan_mds(), FaultSchedule::none());
-        let mut sim = Sim::new(SEED);
-        let broker = CrossBroker::new(
-            &mut sim,
-            handles,
-            mds,
-            BrokerConfig {
-                publish_faults: vec![outage()],
-                ..BrokerConfig::default()
-            },
-        );
-        // Dispatched before the outage (t≈5 s), finishes inside it
-        // (t≈310 s): the completion message dies on the downed link.
-        let id = broker.submit(&mut sim, exclusive(), SimDuration::from_secs(300));
+    let site = Site::new(SiteConfig {
+        name: "alpha".into(),
+        nodes: 2,
+        policy: Policy::Fifo,
+        disposition_retention: 4,
+        ..SiteConfig::default()
+    });
+    let lrms = site.lrms().clone();
+    let handles = vec![SiteHandle {
+        site,
+        broker_link: Link::with_faults(LinkProfile::campus(), outage()),
+        ui_link: Link::with_faults(LinkProfile::campus(), outage()),
+    }];
+    let mds = Link::with_faults(LinkProfile::wan_mds(), FaultSchedule::none());
+    let mut sim = Sim::new(SEED);
+    let broker = CrossBroker::new(
+        &mut sim,
+        handles,
+        mds,
+        BrokerConfig {
+            publish_faults: vec![outage()],
+            ..BrokerConfig::default()
+        },
+    );
+    // Dispatched before the outage (t≈5 s), finishes inside it
+    // (t≈310 s): the completion message dies on the downed link.
+    let id = broker.submit(&mut sim, exclusive(), SimDuration::from_secs(300));
 
-        let mid_outage: Rc<RefCell<Option<JobState>>> = Rc::new(RefCell::new(None));
-        let probe = Rc::clone(&mid_outage);
-        let b = broker.clone();
-        sim.schedule_at(SimTime::from_secs(1_000), move |_| {
-            *probe.borrow_mut() = Some(b.record(id).state);
-        });
-        sim.run_until(SimTime::from_secs(2_400));
-        backend.quiesce();
+    let mid_outage: Rc<RefCell<Option<JobState>>> = Rc::new(RefCell::new(None));
+    let probe = Rc::clone(&mid_outage);
+    let b = broker.clone();
+    sim.schedule_at(SimTime::from_secs(1_000), move |_| {
+        *probe.borrow_mut() = Some(b.record(id).state);
+    });
+    sim.run_until(SimTime::from_secs(2_400));
 
-        let stranded = mid_outage.borrow().clone().expect("probe fired");
-        assert!(
-            !matches!(stranded, JobState::Done | JobState::Failed { .. }),
-            "{spec:?}: at t=1000 s the broker cannot yet know the outcome \
-             (got {stranded:?}) — otherwise this test proves nothing"
-        );
-        assert_eq!(
-            broker.record(id).state,
-            JobState::Done,
-            "{spec:?}: rejoin reconciliation must deliver the retained \
-             disposition"
-        );
-        assert_eq!(backend.stats().finished, 1, "{spec:?}");
-    }
+    let stranded = mid_outage.borrow().clone().expect("probe fired");
+    assert!(
+        !matches!(stranded, JobState::Done | JobState::Failed { .. }),
+        "at t=1000 s the broker cannot yet know the outcome (got \
+         {stranded:?}) — otherwise this test proves nothing"
+    );
+    assert_eq!(
+        broker.record(id).state,
+        JobState::Done,
+        "rejoin reconciliation must deliver the retained disposition"
+    );
+    assert_eq!(lrms.stats().finished, 1);
 }
 
 // ---------------------------------------------------------------------------
 // Full-broker invariants + same-seed replay identity
 // ---------------------------------------------------------------------------
 
-fn grid_world(spec: &BackendSpec) -> (Vec<SiteHandle>, Link) {
+fn grid_world() -> (Vec<SiteHandle>, Link) {
     let handles = ["alpha", "beta"]
         .iter()
-        .map(|name| {
-            let site = Site::try_new(SiteConfig {
+        .map(|name| SiteHandle {
+            site: Site::new(SiteConfig {
                 name: (*name).into(),
                 nodes: 2,
                 policy: Policy::Fifo,
-                backend: spec.clone(),
                 ..SiteConfig::default()
-            })
-            .expect("valid spec");
-            SiteHandle {
-                site,
-                broker_link: Link::with_faults(LinkProfile::campus(), FaultSchedule::none()),
-                ui_link: Link::with_faults(LinkProfile::campus(), FaultSchedule::none()),
-            }
+            }),
+            broker_link: Link::with_faults(LinkProfile::campus(), FaultSchedule::none()),
+            ui_link: Link::with_faults(LinkProfile::campus(), FaultSchedule::none()),
         })
         .collect();
     (
@@ -406,9 +362,9 @@ fn broken() -> crossgrid::jdl::JobDescription {
     .unwrap()
 }
 
-fn grid_run(spec: &BackendSpec, seed: u64) -> (Vec<TimedEvent>, Vec<JobRecord>, ReplayState) {
+fn grid_run(seed: u64) -> (Vec<TimedEvent>, Vec<JobRecord>, ReplayState) {
     let mut sim = Sim::new(seed);
-    let (handles, mds) = grid_world(spec);
+    let (handles, mds) = grid_world();
     let broker = CrossBroker::new(
         &mut sim,
         handles,
@@ -438,162 +394,39 @@ fn grid_run(spec: &BackendSpec, seed: u64) -> (Vec<TimedEvent>, Vec<JobRecord>, 
     (broker.event_log().snapshot(), broker.records(), state)
 }
 
-/// Blanks the per-backend label so streams from different backends can be
-/// compared byte-for-byte: everything except the label must be identical.
-fn neutral(mut e: TimedEvent) -> TimedEvent {
-    if let Event::JobDispatched { backend, .. } = &mut e.event {
-        *backend = String::new();
-    }
-    e
-}
-
 #[test]
 fn full_grid_obeys_invariants_and_replays_bit_identically() {
-    let mut bucket_sets: Vec<BTreeMap<u64, Bucket>> = Vec::new();
-    let mut neutral_streams: Vec<Vec<TimedEvent>> = Vec::new();
-    for spec in all_backend_specs() {
-        let (events, records, recovered) = grid_run(&spec, SEED);
-        assert_eq!(records.len(), 5, "{spec:?}");
+    let (events, records, recovered) = grid_run(SEED);
+    assert_eq!(records.len(), 5);
 
-        // Rules 1–5 + 5b on the whole stream.
-        let violations = check_invariants(&events);
-        assert!(violations.is_empty(), "{spec:?}: {violations:?}");
+    // Rules 1–5 + 5b on the whole stream.
+    let violations = check_invariants(&events);
+    assert!(violations.is_empty(), "{violations:?}");
 
-        // Rules 6–8: the stream's fold and the broker's live projection
-        // (job table + spool watermarks) agree. Rule 6's agent clause
-        // models a crash — glide-in agents never survive one, so an agent
-        // alive on both sides is flagged. No crash happened here, so drop
-        // the registry from the recovered view to keep the clause out of
-        // a comparison it was never written for.
-        let mut expected = ReplayState::default();
-        for ev in &events {
-            expected.apply(ev);
-        }
-        let mut recovered = recovered;
-        recovered.agents.clear();
-        let violations = check_recovery_invariants(&[], &expected, &recovered);
-        assert!(violations.is_empty(), "{spec:?}: {violations:?}");
-
-        // Dispatch events carry this backend's label.
-        let mut dispatches = 0;
-        for e in &events {
-            if let Event::JobDispatched { backend, .. } = &e.event {
-                assert_eq!(backend, spec.kind().as_str(), "{spec:?}");
-                dispatches += 1;
-            }
-        }
-        assert!(dispatches >= 4, "{spec:?}: workload barely dispatched");
-
-        // Same-seed replay identity: a second run is bit-identical.
-        let (replay, _, _) = grid_run(&spec, SEED);
-        assert_eq!(events, replay, "{spec:?}: same-seed run diverged");
-
-        bucket_sets.push(
-            records
-                .iter()
-                .map(|r| (r.id.0, bucket_of(&r.state)))
-                .collect(),
-        );
-        neutral_streams.push(events.into_iter().map(neutral).collect());
+    // Rules 6–8: the stream's fold and the broker's live projection (job
+    // table + spool watermarks) agree. Rule 6's agent clause models a
+    // crash — glide-in agents never survive one, so an agent alive on both
+    // sides is flagged. No crash happened here, so drop the registry from
+    // the recovered view to keep the clause out of a comparison it was
+    // never written for.
+    let mut expected = ReplayState::default();
+    for ev in &events {
+        expected.apply(ev);
     }
+    let mut recovered = recovered;
+    recovered.agents.clear();
+    let violations = check_recovery_invariants(&[], &expected, &recovered);
+    assert!(violations.is_empty(), "{violations:?}");
 
-    // Cross-backend: real execution must not perturb the sim at all — the
-    // streams are identical once the dispatch label is blanked, and every
-    // job lands in the same terminal bucket.
-    for (i, spec) in all_backend_specs().iter().enumerate().skip(1) {
-        assert_eq!(
-            bucket_sets[i], bucket_sets[0],
-            "{spec:?}: terminal buckets diverged from the sim backend"
-        );
-        assert_eq!(
-            neutral_streams[i], neutral_streams[0],
-            "{spec:?}: event stream diverged from the sim backend"
-        );
-    }
-}
+    let dispatches = events
+        .iter()
+        .filter(|e| matches!(e.event, Event::JobDispatched { .. }))
+        .count();
+    assert!(dispatches >= 4, "workload barely dispatched");
 
-// ---------------------------------------------------------------------------
-// ParallelMatcher sweep under every backend label
-// ---------------------------------------------------------------------------
-
-fn match_ads(n: usize) -> Vec<(usize, Ad)> {
-    (0..n)
-        .map(|i| {
-            let mut ad = Ad::new();
-            ad.set_str("Site", format!("s{i}"))
-                .set_int("FreeCpus", (i % 5) as i64)
-                .set_bool("AcceptsQueued", i % 3 != 0);
-            (i, ad)
-        })
-        .collect()
-}
-
-fn match_requests(n: usize) -> Vec<MatchRequest> {
-    (0..n)
-        .map(|i| {
-            let nodes = 1 + i % 3;
-            let user = format!("u{}", i % 7);
-            let src = if i % 2 == 0 {
-                format!(
-                    r#"Executable = "iapp"; JobType = {{"interactive","mpich-p4"}};
-                       NodeNumber = {nodes}; User = "{user}";"#
-                )
-            } else {
-                format!(r#"Executable = "bapp"; JobType = "batch"; User = "{user}";"#)
-            };
-            MatchRequest {
-                id: JobId(i as u64),
-                job: crossgrid::jdl::JobDescription::parse(&src).unwrap(),
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn matcher_sweep_is_thread_invariant_under_every_backend_label() {
-    if check_cores() < 4 {
-        eprintln!("skipping matcher sweep: needs >= 4 cores (CG_CHECK_CORES to override)");
-        return;
-    }
-    let reqs = match_requests(120);
-    for spec in all_backend_specs() {
-        let label = spec.kind().as_str();
-        let run = |threads: usize| {
-            let log = EventLog::new(reqs.len() * 4 + 32);
-            let table = ShardedJobTable::new(DEFAULT_SHARDS);
-            let engine = ParallelMatcher::new(match_ads(12), SEED).with_backend_label(label);
-            let outcomes = engine.run(&reqs, threads, &log, &table);
-            let buckets: BTreeMap<u64, Bucket> = table
-                .snapshot()
-                .iter()
-                .map(|(id, r)| (id.0, bucket_of(&r.state)))
-                .collect();
-            (outcomes, buckets, log.snapshot())
-        };
-
-        let (outcomes1, buckets1, events1) = run(1);
-        let violations = check_invariants(&events1);
-        assert!(violations.is_empty(), "{label}: {violations:?}");
-        let mut dispatches = 0;
-        for e in &events1 {
-            if let Event::JobDispatched { backend, .. } = &e.event {
-                assert_eq!(backend, label);
-                dispatches += 1;
-            }
-        }
-        assert!(dispatches > 0, "{label}: sweep never dispatched");
-
-        for threads in [4, 8] {
-            let (outcomes, buckets, events) = run(threads);
-            assert_eq!(
-                outcomes, outcomes1,
-                "{label}: outcomes at {threads} threads"
-            );
-            assert_eq!(buckets, buckets1, "{label}: buckets at {threads} threads");
-            let violations = check_invariants(&events);
-            assert!(violations.is_empty(), "{label}@{threads}: {violations:?}");
-        }
-    }
+    // Same-seed replay identity: a second run is bit-identical.
+    let (replay, _, _) = grid_run(SEED);
+    assert_eq!(events, replay, "same-seed run diverged");
 }
 
 // ---------------------------------------------------------------------------
@@ -603,80 +436,65 @@ fn matcher_sweep_is_thread_invariant_under_every_backend_label() {
 proptest! {
     /// At every step of an arbitrary submit/kill/complete interleaving,
     /// `submitted = queued + dispatching + running + finished + killed` —
-    /// a job is in exactly one of those states at any instant, on every
-    /// backend.
+    /// a job is in exactly one of those states at any instant.
     #[test]
     fn stats_balance_under_arbitrary_interleavings(
         ops in prop::collection::vec((0u8..3u8, 1u64..40u64), 1..25),
         seed in 1u64..1_000u64,
     ) {
-        for spec in all_backend_specs() {
-            let mut sim = Sim::new(seed);
-            let backend = build(&spec, Policy::FifoBackfill, 2);
-            let known: Rc<RefCell<Vec<LocalJobId>>> = Rc::new(RefCell::new(Vec::new()));
-            let imbalances: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
-            for (i, &(kind, x)) in ops.iter().enumerate() {
-                let at = SimTime::from_secs(i as u64 * 7 + x);
-                let b = backend.clone();
-                let known = Rc::clone(&known);
-                let imbalances = Rc::clone(&imbalances);
-                sim.schedule_at(at, move |sim| {
-                    let pick = |ks: &[LocalJobId]| {
-                        if ks.is_empty() {
-                            None
-                        } else {
-                            Some(ks[x as usize % ks.len()])
-                        }
-                    };
-                    match kind {
-                        0 => {
-                            let id = b.submit(
-                                sim,
-                                LocalJobSpec::simple(SimDuration::from_secs(x)),
-                                |_, _, _| {},
-                            );
-                            known.borrow_mut().push(id);
-                        }
-                        1 => {
-                            if let Some(id) = pick(&known.borrow()) {
-                                b.kill(sim, id, "interleaving");
-                            }
-                        }
-                        _ => {
-                            if let Some(id) = pick(&known.borrow()) {
-                                b.complete(sim, id);
-                            }
+        let mut sim = Sim::new(seed);
+        let lrms = build(Policy::FifoBackfill, 2);
+        let known: Rc<RefCell<Vec<LocalJobId>>> = Rc::new(RefCell::new(Vec::new()));
+        let imbalances: Rc<RefCell<Vec<String>>> = Rc::new(RefCell::new(Vec::new()));
+        for (i, &(kind, x)) in ops.iter().enumerate() {
+            let at = SimTime::from_secs(i as u64 * 7 + x);
+            let l = lrms.clone();
+            let known = Rc::clone(&known);
+            let imbalances = Rc::clone(&imbalances);
+            sim.schedule_at(at, move |sim| {
+                let pick = |ks: &[LocalJobId]| {
+                    if ks.is_empty() {
+                        None
+                    } else {
+                        Some(ks[x as usize % ks.len()])
+                    }
+                };
+                match kind {
+                    0 => {
+                        let id = l.submit(
+                            sim,
+                            LocalJobSpec::simple(SimDuration::from_secs(x)),
+                            |_, _, _| {},
+                        );
+                        known.borrow_mut().push(id);
+                    }
+                    1 => {
+                        if let Some(id) = pick(&known.borrow()) {
+                            l.kill(sim, id, "interleaving");
                         }
                     }
-                    let s = b.stats();
-                    let live =
-                        (b.queue_depth() + b.dispatching_count() + b.running_count()) as u64;
-                    if s.submitted != live + s.finished + s.killed {
-                        imbalances.borrow_mut().push(format!(
-                            "op {i} ({kind},{x}): submitted {} != live {live} + \
-                             finished {} + killed {}",
-                            s.submitted, s.finished, s.killed
-                        ));
+                    _ => {
+                        if let Some(id) = pick(&known.borrow()) {
+                            l.complete(sim, id);
+                        }
                     }
-                });
-            }
-            sim.run_until(SimTime::from_secs(25 * 7 + 100));
-            backend.quiesce();
-            prop_assert!(
-                imbalances.borrow().is_empty(),
-                "{:?}: {:?}",
-                spec,
-                imbalances.borrow()
-            );
-            let s = backend.stats();
-            let live = (backend.queue_depth()
-                + backend.dispatching_count()
-                + backend.running_count()) as u64;
-            prop_assert_eq!(
-                s.submitted,
-                live + s.finished + s.killed,
-                "{:?}: final balance", spec
-            );
+                }
+                let s = l.stats();
+                let live = (l.queue_depth() + l.dispatching_count() + l.running_count()) as u64;
+                if s.submitted != live + s.finished + s.killed {
+                    imbalances.borrow_mut().push(format!(
+                        "op {i} ({kind},{x}): submitted {} != live {live} + \
+                         finished {} + killed {}",
+                        s.submitted, s.finished, s.killed
+                    ));
+                }
+            });
         }
+        sim.run_until(SimTime::from_secs(25 * 7 + 100));
+        prop_assert!(imbalances.borrow().is_empty(), "{:?}", imbalances.borrow());
+        let s = lrms.stats();
+        let live =
+            (lrms.queue_depth() + lrms.dispatching_count() + lrms.running_count()) as u64;
+        prop_assert_eq!(s.submitted, live + s.finished + s.killed, "final balance");
     }
 }

@@ -5,37 +5,7 @@
 #![allow(dead_code)]
 
 use crossgrid::broker::JobState;
-use crossgrid::site::BackendSpec;
 use crossgrid::trace::replay::{Bucket, Phase};
-
-/// Every execution backend the conformance contract covers: the sim LRMS,
-/// the in-process thread pool, and the external-process runner. Suites
-/// iterating this list prove a property backend-by-backend.
-pub fn all_backend_specs() -> Vec<BackendSpec> {
-    vec![
-        BackendSpec::Sim,
-        BackendSpec::ThreadPool { threads: 2 },
-        // `true` exists on every POSIX box; the runner tolerates a failed
-        // spawn anyway (it only feeds real-exec counters, never the sim).
-        BackendSpec::Process {
-            program: "true".into(),
-        },
-    ]
-}
-
-/// Cores available to thread-sweep gates, honoring the `CG_CHECK_CORES`
-/// override the check binaries use. Sweeps needing more should skip
-/// (not fail) below their floor.
-pub fn check_cores() -> usize {
-    std::env::var("CG_CHECK_CORES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
 
 /// The broker job table's coarse disposition bucket (the granularity of
 /// [`Phase::bucket`]): terminal-outcome comparison across crashes, shard

@@ -11,7 +11,7 @@ use crossgrid::broker::RecoveryReport;
 use crossgrid::jdl::JobDescription;
 use crossgrid::net::{FaultSchedule, Link, LinkProfile};
 use crossgrid::prelude::*;
-use crossgrid::site::{BackendSpec, Policy, SiteConfig};
+use crossgrid::site::{Policy, SiteConfig};
 use crossgrid::trace::journal::{
     open_journal, parse_journal, Journal, JournalConfig, JournalError,
 };
@@ -39,7 +39,7 @@ fn config() -> BrokerConfig {
     }
 }
 
-fn world_with(backend: &BackendSpec) -> (Vec<SiteHandle>, Link) {
+fn world() -> (Vec<SiteHandle>, Link) {
     let handles = ["alpha", "beta"]
         .iter()
         .map(|name| {
@@ -47,7 +47,6 @@ fn world_with(backend: &BackendSpec) -> (Vec<SiteHandle>, Link) {
                 name: (*name).into(),
                 nodes: 2,
                 policy: Policy::Fifo,
-                backend: backend.clone(),
                 ..SiteConfig::default()
             });
             SiteHandle {
@@ -117,18 +116,9 @@ fn journaled_run(
     crash_after: Option<u64>,
     snapshot_at: Option<u64>,
 ) -> (u64, bool) {
-    journaled_run_with(path, crash_after, snapshot_at, &BackendSpec::Sim)
-}
-
-fn journaled_run_with(
-    path: &PathBuf,
-    crash_after: Option<u64>,
-    snapshot_at: Option<u64>,
-    backend: &BackendSpec,
-) -> (u64, bool) {
     let _ = std::fs::remove_file(path);
     let mut sim = Sim::new(SEED);
-    let (handles, mds) = world_with(backend);
+    let (handles, mds) = world();
     let broker = CrossBroker::new(&mut sim, handles, mds, config());
     let log = broker.event_log();
     log.set_journal(Journal::create(path, JournalConfig::default()).unwrap());
@@ -151,17 +141,9 @@ fn journaled_run_with(
 
 /// Recovers from `path` into a fresh world and runs it to quiescence.
 fn recover_and_run(path: &PathBuf, seed: u64) -> (CrossBroker, RecoveryReport, Sim) {
-    recover_and_run_with(path, seed, &BackendSpec::Sim)
-}
-
-fn recover_and_run_with(
-    path: &PathBuf,
-    seed: u64,
-    backend: &BackendSpec,
-) -> (CrossBroker, RecoveryReport, Sim) {
     let loaded = open_journal(path).unwrap();
     let mut sim = Sim::new(seed);
-    let (handles, mds) = world_with(backend);
+    let (handles, mds) = world();
     let (broker, report) = CrossBroker::recover(&mut sim, handles, mds, config(), &loaded).unwrap();
     sim.run_until(report.crash_at + SimDuration::from_secs(600));
     (broker, report, sim)
@@ -237,75 +219,6 @@ fn kill_point_sweep_recovers_identical_terminal_stats() {
         );
     }
     let _ = std::fs::remove_file(&base);
-    let _ = std::fs::remove_file(&crash);
-}
-
-/// The kill-point sweep again, but with every site on the thread-pool
-/// backend: real worker threads execute alongside the sim. By the sim-time
-/// bridging rule they must not perturb the journal or recovery at all, so
-/// the uncrashed run journals the same number of events as the sim run,
-/// every job lands in the sim run's bucket, and a strided sweep of kill
-/// points recovers (into a thread-pool world) to those same buckets.
-#[test]
-fn kill_point_sweep_is_backend_invariant_under_the_thread_pool() {
-    let spec = BackendSpec::ThreadPool { threads: 2 };
-
-    let sim_base = tmp("tp-sim-base");
-    let (sim_total, _) = journaled_run(&sim_base, None, None);
-    let sim_state = open_journal(&sim_base).unwrap().replay_state().unwrap();
-    let base_buckets: BTreeMap<u64, Bucket> = sim_state
-        .jobs
-        .iter()
-        .map(|(id, rj)| (*id, rj.phase.bucket()))
-        .collect();
-
-    let tp_base = tmp("tp-base");
-    let (tp_total, crashed) = journaled_run_with(&tp_base, None, None, &spec);
-    assert!(!crashed);
-    assert_eq!(
-        tp_total, sim_total,
-        "the thread pool journaled a different event count than the sim"
-    );
-    let tp_state = open_journal(&tp_base).unwrap().replay_state().unwrap();
-    assert_eq!(tp_state.jobs.len(), base_buckets.len());
-    for (id, rj) in &tp_state.jobs {
-        assert_eq!(
-            rj.phase.bucket(),
-            base_buckets[id],
-            "job {id} diverged from the sim backend under the thread pool"
-        );
-    }
-
-    // Strided sweep: enough kill points to cross every lifecycle phase
-    // without re-running the full per-event sweep a second time.
-    let crash = tmp("tp-crash");
-    for k in (0..tp_total).step_by(5) {
-        let (_, crashed) = journaled_run_with(&crash, Some(k), None, &spec);
-        assert!(crashed, "kill point {k} of {tp_total} must fire");
-
-        let expected = open_journal(&crash).unwrap().replay_state().unwrap();
-        let (broker, report, _sim) = recover_and_run_with(&crash, 5_000 + k, &spec);
-        assert!(
-            report.violations.is_empty(),
-            "k={k}: recovery invariants violated: {:?}",
-            report.violations
-        );
-        for (id, rj) in &expected.jobs {
-            let state = broker.record(JobId(*id)).state;
-            let want = if !rj.phase.is_terminal() && (rj.jdl.is_none() || rj.runtime_ns.is_none()) {
-                Bucket::Errored
-            } else {
-                base_buckets[id]
-            };
-            assert_eq!(
-                bucket_of(&state),
-                want,
-                "k={k}: job {id} diverged from the sim-backend run: {state:?}"
-            );
-        }
-    }
-    let _ = std::fs::remove_file(&sim_base);
-    let _ = std::fs::remove_file(&tp_base);
     let _ = std::fs::remove_file(&crash);
 }
 

@@ -200,7 +200,7 @@ fn agent_redeploy_breaker_stops_crash_loops() {
 
     // A hostile site keeps killing whatever glide-in lands on it.
     let lrms = site.lrms().clone();
-    fn killer(sim: &mut Sim, lrms: crossgrid::site::BackendHandle, next_id: u64) {
+    fn killer(sim: &mut Sim, lrms: crossgrid::site::Lrms, next_id: u64) {
         sim.schedule_in(SimDuration::from_secs(60), move |sim| {
             // Kill any running carrier (ids increase with each redeploy).
             for id in 0..=next_id {
