@@ -1164,6 +1164,9 @@ impl CrossBroker {
                     in_flight,
                 },
             );
+            // `placements` iterates in per-instance hash order; re-match in
+            // job-id order so a seed replays to the same stream.
+            victims.sort_unstable_by_key(|&(id, _)| id);
             (victims, inner.sites[site_index].site.lrms().clone())
         };
         for (id, local) in victims {
@@ -1210,7 +1213,7 @@ impl CrossBroker {
     fn reconcile_rejoined_site(&self, sim: &mut Sim, site_index: usize) {
         let (stranded, link, lrms) = {
             let inner = self.inner.borrow();
-            let stranded: Vec<(JobId, cg_site::LocalJobId)> = inner
+            let mut stranded: Vec<(JobId, cg_site::LocalJobId)> = inner
                 .placements
                 .iter()
                 .filter(|(id, _)| {
@@ -1234,6 +1237,8 @@ impl CrossBroker {
                     })
                 })
                 .collect();
+            // Poll in job-id order, not hash order (see `site_died`).
+            stranded.sort_unstable_by_key(|&(id, _)| id);
             (
                 stranded,
                 inner.sites[site_index].broker_link.clone(),

@@ -1,5 +1,8 @@
 //! End-to-end behavioural tests of CrossBroker on simulated grids.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use cg_jdl::JobDescription;
 use cg_net::{Link, LinkProfile};
 use cg_sim::{Sim, SimDuration, SimTime};
@@ -730,9 +733,7 @@ fn run_with_fanout(seed: u64, n_sites: usize, fanout: usize) -> (crossbroker::Jo
     let target = events
         .iter()
         .find_map(|e| match &e.event {
-            cg_trace::Event::JobDispatched { job, target, .. } if *job == id.0 => {
-                Some(target.clone())
-            }
+            cg_trace::Event::JobDispatched { job, target } if *job == id.0 => Some(target.clone()),
             _ => None,
         })
         .expect("job dispatched");
@@ -756,4 +757,71 @@ fn live_query_fanout_shrinks_selection_without_changing_the_outcome() {
         "fan-out 8 over 12 sites should overlap the per-site RPCs: \
          sequential {seq_sel}s vs windowed {par_sel}s"
     );
+}
+
+/// Eight exclusive jobs start on one site 40 s apart (one per lease) and
+/// finish while the site's links are down, so every GRAM completion
+/// message is lost and all eight are still `Running` broker-side when the
+/// site rejoins. Returns the event stream and the ids in submission order.
+fn stranded_on_one_site(seed: u64) -> (Vec<cg_trace::TimedEvent>, Vec<crossbroker::JobId>) {
+    use cg_net::FaultSchedule;
+    let outage =
+        || FaultSchedule::from_windows(vec![(SimTime::from_secs(400), SimTime::from_secs(1_700))]);
+    let mut sim = Sim::new(seed);
+    let site = Site::new(SiteConfig {
+        name: "alpha".into(),
+        nodes: 8,
+        policy: Policy::Fifo,
+        tags: vec!["CROSSGRID".into()],
+        ..SiteConfig::default()
+    });
+    let handles = vec![SiteHandle {
+        site,
+        broker_link: Link::with_faults(LinkProfile::campus(), outage()),
+        ui_link: Link::with_faults(LinkProfile::campus(), outage()),
+    }];
+    let config = BrokerConfig {
+        publish_faults: vec![outage()],
+        ..BrokerConfig::default()
+    };
+    let broker = CrossBroker::new(&mut sim, handles, Link::new(LinkProfile::wan_mds()), config);
+    let ids: Rc<RefCell<Vec<crossbroker::JobId>>> = Rc::default();
+    for i in 0..8 {
+        let (b, ids) = (broker.clone(), Rc::clone(&ids));
+        sim.schedule_at(SimTime::from_secs(40 * i), move |sim| {
+            ids.borrow_mut()
+                .push(b.submit(sim, job(EXCLUSIVE), SimDuration::from_secs(600)));
+        });
+    }
+    sim.run_until(SimTime::from_secs(3_000));
+    let ids = ids.borrow().clone();
+    for id in &ids {
+        assert!(matches!(broker.record(*id).state, JobState::Done), "{id:?}");
+    }
+    (broker.event_log().snapshot(), ids)
+}
+
+#[test]
+fn rejoin_reconciliation_is_deterministic_and_in_job_id_order() {
+    let (events, ids) = stranded_on_one_site(5);
+    let rejoin = events
+        .iter()
+        .find(|e| matches!(e.event, cg_trace::Event::SiteRejoin { .. }))
+        .expect("the site rejoins")
+        .at;
+    let reconciled: Vec<u64> = events
+        .iter()
+        .filter(|e| e.at >= rejoin)
+        .filter_map(|e| match e.event {
+            cg_trace::Event::JobFinished { job } => Some(job),
+            _ => None,
+        })
+        .collect();
+    let expected: Vec<u64> = ids.iter().map(|id| id.0).collect();
+    assert_eq!(
+        reconciled, expected,
+        "reconciliation polls stranded jobs in ascending job-id order"
+    );
+    let (replay, _) = stranded_on_one_site(5);
+    assert_eq!(events, replay, "same seed, same event stream");
 }
