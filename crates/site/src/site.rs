@@ -217,18 +217,16 @@ mod tests {
     }
 
     #[test]
-    fn invalid_configs_are_typed_errors() {
-        let build = |nodes, disposition_retention| {
+    fn zero_retention_is_a_typed_error() {
+        let with_retention = |disposition_retention| {
             Site::try_new(SiteConfig {
-                nodes,
                 disposition_retention,
                 ..SiteConfig::default()
             })
             .err()
         };
-        assert_eq!(build(0, 16), Some(LrmsError::ZeroNodes));
-        assert_eq!(build(4, 0), Some(LrmsError::ZeroRetention));
-        assert_eq!(build(4, 1), None);
+        assert_eq!(with_retention(0), Some(LrmsError::ZeroRetention));
+        assert_eq!(with_retention(1), None);
     }
 
     #[test]
